@@ -272,7 +272,13 @@ class _PoolDriver:
                     self._harvest(future, *self.in_flight.pop(future))
                 self._reap_lost_workers()
         finally:
-            self.pool.shutdown(wait=False, cancel_futures=True)
+            # An idle, healthy pool is joined, so its manager and queue
+            # feeder threads are gone before the interpreter's exit hook
+            # runs; a broken, wedged or still-busy one is abandoned.
+            if self.in_flight or self.pool_broken:
+                self.pool.shutdown(wait=False, cancel_futures=True)
+            else:
+                self.pool.shutdown(wait=True)
         assert all(outcome is not None for outcome in self.outcomes)
         return list(self.outcomes)  # type: ignore[arg-type]
 

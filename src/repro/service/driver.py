@@ -12,7 +12,10 @@ binds an engine to a client pool and an arrival model:
 * **open loop** — requests arrive on a fixed schedule (``rate``
   requests/second across the pool) regardless of completion, so a slow
   service accumulates in-flight work instead of back-pressuring the
-  generator.
+  generator.  Each request's latency counts from its scheduled due
+  time, not from when a client got round to sending it, so a backlog
+  in the driver's own client pool shows in the latency rather than
+  hiding it; how late the sends ran is reported beside it.
 
 Because engines draw their jobs from a bounded universe, concurrent
 clients submit heavily *overlapping* work — exactly the traffic shape
@@ -76,6 +79,8 @@ class Req:
     ticket: Optional[str] = None
     keys: List[str] = field(default_factory=list)
     latency_s: Optional[float] = None
+    #: Open loop only: how long after its due time the request was sent.
+    late_s: Optional[float] = None
     ok: Optional[bool] = None
     error: Optional[str] = None
 
@@ -205,6 +210,8 @@ class DriverStats:
     latency_p99_s: float
     latency_max_s: float
     server: Dict[str, Any] = field(default_factory=dict)
+    #: Open loop only: p90 of how late requests were sent (None closed).
+    generator_late_p90_s: Optional[float] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -224,6 +231,9 @@ class DriverStats:
                 "max": round(self.latency_max_s, 6),
             },
             "server": self.server,
+            "generator_late_p90_s": (
+                None if self.generator_late_p90_s is None
+                else round(self.generator_late_p90_s, 6)),
         }
 
 
@@ -239,9 +249,10 @@ class LoadDriver:
     def run(self) -> DriverStats:
         """Execute the workload and return its statistics.
 
-        Per-request latency is submit-to-all-terminal (what a client
-        actually waits); server counters are sampled before and after,
-        so the reported deltas isolate this run's traffic.
+        Per-request latency runs to all-terminal from the send (closed
+        loop) or from the scheduled due time (open loop); server
+        counters are sampled before and after, so the reported deltas
+        isolate this run's traffic.
         """
         reqs = list(self.workload.engine.reqs())
         before = ServiceClient(self.base_url,
@@ -264,11 +275,15 @@ class LoadDriver:
                         return
                     cursor[0] = index + 1
                 req = reqs[index]
-                if schedule is not None:
-                    delay = started + schedule[index] - time.monotonic()
-                    if delay > 0:
-                        time.sleep(delay)
-                self._fire(client, req)
+                if schedule is None:
+                    self._fire(client, req, time.monotonic())
+                    continue
+                due = started + schedule[index]
+                delay = due - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+                req.late_s = max(0.0, time.monotonic() - due)
+                self._fire(client, req, due)
 
         threads = [threading.Thread(target=client_loop, daemon=True,
                                     name=f"driver-client-{i}")
@@ -282,8 +297,9 @@ class LoadDriver:
                               timeout=self.request_timeout).stats()
         return self._stats(reqs, elapsed, before, after)
 
-    def _fire(self, client: ServiceClient, req: Req) -> None:
-        fired = time.monotonic()
+    def _fire(self, client: ServiceClient, req: Req,
+              since: float) -> None:
+        """Submit ``req``, wait for it, and time it from ``since``."""
         try:
             submission = client.submit(jobs=req.jobs)
             req.ticket = submission.ticket
@@ -297,7 +313,7 @@ class LoadDriver:
         except (ServiceError, TimeoutError) as exc:
             req.ok = False
             req.error = str(exc)
-        req.latency_s = time.monotonic() - fired
+        req.latency_s = time.monotonic() - since
 
     def _stats(self, reqs: List[Req], elapsed: float,
                before: Dict[str, Any],
@@ -312,6 +328,7 @@ class LoadDriver:
             "cache_hits_delta": after["cache_hits"] - before["cache_hits"],
             "jobs": after["jobs"],
         }
+        lateness = [req.late_s for req in reqs if req.late_s is not None]
         if not latencies:
             latencies = [0.0]
         return DriverStats(
@@ -329,6 +346,8 @@ class LoadDriver:
             latency_p99_s=percentile(latencies, 99),
             latency_max_s=max(latencies),
             server=server,
+            generator_late_p90_s=(percentile(lateness, 90)
+                                  if lateness else None),
         )
 
 

@@ -28,10 +28,16 @@ Failure model per entry: the configured
 ``max_attempts`` executions with exponential backoff; exceptions mark
 the entry ``failed`` with the message preserved.  ``timeout`` is
 enforced as a per-job wall clock from execution start (worker threads
-cannot arm the runner's SIGALRM deadline, which is main-thread-only):
-breaches are observed lazily by pollers and at completion by the worker
-itself, and a result that arrives after its deadline is discarded, not
-cached.
+cannot arm the runner's SIGALRM deadline, which is main-thread-only).
+A result that arrives after its deadline is discarded, not cached.
+
+Waiting is event-driven, not polled.  The service has one
+:class:`threading.Condition` over its table lock, and every terminal
+transition notifies it, so a long-poll or stream waiter wakes the
+moment its job finishes.  A waiter also sleeps no later than the
+earliest deadline among the jobs it watches; on waking it records the
+breach itself, so a hung job times out even when no other request
+observes it.
 
 :class:`ServiceDaemon` wraps the service in a stdlib
 ``ThreadingHTTPServer`` speaking the :mod:`repro.service.protocol`
@@ -70,9 +76,6 @@ from repro.service.protocol import (
 #: Entry states a job can no longer leave.
 TERMINAL_STATES = frozenset({"done", "failed", "timeout"})
 
-#: Poll granularity of long-poll / stream loops (seconds).
-_POLL_S = 0.02
-
 _STOP = object()
 
 
@@ -81,11 +84,11 @@ class _JobEntry:
 
     ``payload`` is the canonical result dictionary once ``done``;
     ``cached`` marks entries satisfied from the result cache without
-    executing.  ``done_event`` fires on any terminal transition.
+    executing.
     """
 
     __slots__ = ("key", "job", "state", "error", "payload", "attempts",
-                 "cached", "started_at", "duration_s", "done_event")
+                 "cached", "started_at", "duration_s")
 
     def __init__(self, key: str, job: SimJob) -> None:
         self.key = key
@@ -97,7 +100,6 @@ class _JobEntry:
         self.cached = False
         self.started_at: Optional[float] = None
         self.duration_s = 0.0
-        self.done_event = threading.Event()
 
 
 class _WorkerPool:
@@ -157,6 +159,8 @@ class SimService:
         self._execute = execute or (
             lambda job, attempt: run_job_attempt(job, attempt))
         self._lock = threading.Lock()
+        # Notified on every terminal transition; waiters sleep on it.
+        self._changed = threading.Condition(self._lock)
         self._entries: Dict[str, _JobEntry] = {}
         self._tickets: Dict[str, Dict[str, Any]] = {}
         # Dedup / execution accounting — the counters the concurrency
@@ -202,7 +206,7 @@ class SimService:
                     entry.payload = result_to_payload(cached)
                     entry.state = "done"
                     entry.cached = True
-                    entry.done_event.set()
+                    self._changed.notify_all()
                 else:
                     to_start.append(entry)
                 self._entries[key] = entry
@@ -264,7 +268,7 @@ class SimService:
         entry.error = error
         if entry.started_at is not None:
             entry.duration_s = time.monotonic() - entry.started_at
-        entry.done_event.set()
+        self._changed.notify_all()
 
     def _observe_timeout(self, entry: _JobEntry) -> bool:
         """Mark ``entry`` timed out if its deadline passed (lock held).
@@ -333,24 +337,57 @@ class SimService:
                  timeout: Optional[float] = None) -> bool:
         """Block until every known key is terminal (or ``timeout``).
 
-        Polling (not pure event waits) so lazily-enforced job deadlines
-        fire even when nothing else observes the entry.  Unknown keys
-        count as terminal — the caller surfaces them as not-found.
+        Unknown keys count as terminal — the caller surfaces them as
+        not-found.
         """
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        while True:
-            pending = False
-            for key in keys:
-                doc = self.job_status(key, include_result=False)
-                if doc is not None and doc["status"] not in TERMINAL_STATES:
-                    pending = True
-                    break
-            if not pending:
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(_POLL_S)
+        return len(self._wait(keys, timeout, want_all=True)) == len(keys)
+
+    def wait_any(self, keys: Sequence[str],
+                 timeout: Optional[float] = None) -> List[str]:
+        """Block until any of ``keys`` is terminal (or ``timeout``).
+
+        Returns the keys that are terminal or unknown, in ``keys``
+        order; empty only when ``timeout`` ran out first.
+        """
+        return self._wait(keys, timeout, want_all=False)
+
+    def _wait(self, keys: Sequence[str], timeout: Optional[float],
+              want_all: bool) -> List[str]:
+        """Sleep on the condition until all (or any) of ``keys`` settle.
+
+        Returns the settled keys: terminal or unknown, in ``keys``
+        order, duplicates kept.  Each sleep ends at the earlier of the
+        caller's budget and the earliest job deadline among the pending
+        entries (a running entry's is its start plus the policy
+        timeout; a queued entry cannot breach before ``now`` plus the
+        timeout), so :meth:`_observe_timeout` records a breach even
+        when nothing else watches the entry.
+        """
+        budget_end = (None if timeout is None
+                      else time.monotonic() + timeout)
+        limit = self.retry_policy.timeout
+        with self._changed:
+            while True:
+                settled: List[str] = []
+                pending: List[_JobEntry] = []
+                for key in keys:
+                    entry = self._entries.get(key)
+                    if entry is None or self._observe_timeout(entry):
+                        settled.append(key)
+                    else:
+                        pending.append(entry)
+                if not pending or (settled and not want_all):
+                    return settled
+                now = time.monotonic()
+                if budget_end is not None and now >= budget_end:
+                    return settled
+                wake = budget_end
+                if limit is not None:
+                    for entry in pending:
+                        due = (entry.started_at if entry.started_at
+                               is not None else now) + limit
+                        wake = due if wake is None else min(wake, due)
+                self._changed.wait(None if wake is None else wake - now)
 
     def stats(self, detail: bool = False) -> Dict[str, Any]:
         """The dedup / execution / cache counter document."""
@@ -595,16 +632,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         pending = list(dict.fromkeys(keys))  # unique, order-preserving
         while pending:
-            progressed = False
-            for key in list(pending):
+            for key in service.wait_any(pending):
                 doc = service.job_status(key)
                 if doc is None:
                     doc = {"key": key, "status": "unknown"}
-                if doc["status"] in TERMINAL_STATES or doc["status"] == "unknown":
-                    self.wfile.write(
-                        (canonical_json(doc) + "\n").encode("utf-8"))
-                    self.wfile.flush()
-                    pending.remove(key)
-                    progressed = True
-            if pending and not progressed:
-                time.sleep(_POLL_S)
+                self.wfile.write((canonical_json(doc) + "\n").encode("utf-8"))
+                self.wfile.flush()
+                pending.remove(key)

@@ -1,6 +1,8 @@
 """Tests for the experiment orchestration layer (repro.runner)."""
 
 import dataclasses
+import threading
+from concurrent.futures import process as futures_process
 
 import pytest
 
@@ -44,6 +46,26 @@ def test_process_pool_matches_serial_bit_identical():
     pooled = JobRunner(ProcessPoolBackend(max_workers=2)).run(jobs)
     assert serial == pooled
     assert [r.workload for r in serial] == WORKLOADS * 2
+
+
+def test_process_pool_joins_its_threads_before_returning():
+    """An idle pool is joined, not abandoned to the exit hook.
+
+    Executor-manager and queue-feeder threads still alive when
+    ``run_outcomes`` returns race CPython's ``_python_exit`` hook at
+    interpreter exit (an intermittent ``OSError: [Errno 9] Bad file
+    descriptor`` traceback after a successful sweep).
+    """
+    def pool_threads():
+        return {thread for thread in threading.enumerate()
+                if isinstance(thread, futures_process._ExecutorManagerThread)
+                or thread.name == "QueueFeederThread"}
+
+    before = pool_threads()
+    jobs = _sweep_jobs()[:3]
+    outcomes = ProcessPoolBackend(max_workers=2).run_outcomes(jobs)
+    assert all(outcome.ok for outcome in outcomes)
+    assert pool_threads() - before == set()
 
 
 def test_process_pool_rejects_bad_worker_count():

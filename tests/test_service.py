@@ -9,8 +9,9 @@ Every claim the service design makes is asserted here, not narrated:
 * **crash-restart** — a daemon kill -9'd mid-sweep loses only in-flight
   work: a restart over the same cache directory serves completed jobs
   from checksummed checkpoints and re-executes only the missing ones;
-* **timeouts** — hung jobs are marked ``timeout`` by the lazy wall-clock
-  deadline and their late results are discarded, never cached.
+* **timeouts** — hung jobs are marked ``timeout`` by the wall-clock
+  deadline, even with only a waiter watching, and their late results
+  are discarded, never cached.
 
 The in-process tests gate execution with events to freeze jobs
 deterministically mid-flight; the HTTP and kill -9 tests run the real
@@ -37,6 +38,8 @@ from repro.service import (
     DriverWorkload,
     LoadDriver,
     ProtocolError,
+    Req,
+    ReqGenEngine,
     ServiceClient,
     ServiceDaemon,
     ServiceError,
@@ -254,7 +257,7 @@ def test_hung_job_times_out_and_late_result_is_discarded(tmp_path,
     try:
         job = _job("stuck")
         _, (key,) = service.submit([job])
-        # The deadline is enforced lazily: polling observes the breach.
+        # Observing the job after its deadline records the breach.
         _spin_until(lambda: service.job_status(key)["status"] == "timeout",
                     budget=30.0, message="timeout observation")
         doc = service.job_status(key)
@@ -285,6 +288,96 @@ def test_wait_for_reports_pending_then_completion(tiny_result):
     finally:
         release.set()
         service.close()
+
+
+def test_deadline_fires_with_only_a_waiter_watching(tiny_result):
+    """A hung job times out with nothing but a waiter observing it.
+
+    Waiters sleep on the completion condition, which a hung job never
+    notifies; the waiter's own wake-up at the job's deadline must record
+    the breach, both in-process and for an HTTP stream.
+    """
+    release = threading.Event()
+
+    def hang(job, attempt):
+        assert release.wait(scaled(30.0)), "gate never released"
+        return tiny_result
+
+    budget = scaled(0.2)
+    service = SimService(execute=hang, max_workers=2,
+                         retry_policy=RetryPolicy(max_attempts=1,
+                                                  timeout=budget))
+    daemon = ServiceDaemon(service)
+    thread = daemon.start()
+    try:
+        _, (key,) = service.submit([_job("watched")])
+        started = time.monotonic()
+        assert service.wait_for([key], timeout=scaled(5.0))
+        assert time.monotonic() - started < scaled(2.0)
+        assert service.job_status(key)["status"] == "timeout"
+
+        client = ServiceClient(daemon.url, timeout=scaled(30.0))
+        submission = client.submit(jobs=[_job("streamed")])
+        started = time.monotonic()
+        streamed = list(client.stream(submission))
+        assert time.monotonic() - started < scaled(2.0)
+        assert [(doc["key"], doc["status"]) for doc in streamed] == [
+            (submission.keys[0], "timeout")]
+        assert f"{budget:g}s" in streamed[0]["error"]
+    finally:
+        release.set()
+        daemon.shutdown()
+        thread.join(timeout=scaled(10.0))
+        daemon.close()
+
+
+def test_waiters_never_miss_a_completion_under_thread_churn(tiny_result):
+    """Stress: more workers and waiters than cores, tiny switch interval.
+
+    Waiters sleep until notified (the policy has no deadline to wake
+    them), so a lost notification would hold a waiter until its budget
+    ran out; every wait must instead end soon after its jobs do.
+    """
+    jobs = _jobs(48, accesses=300)
+    slices = [jobs[start:start + 16] for start in range(0, 40, 5)]
+    service = SimService(execute=lambda j, a: tiny_result, max_workers=4)
+    waited = []
+
+    def wait_all(keys):
+        started = time.monotonic()
+        ok = service.wait_for(keys, timeout=scaled(20.0))
+        waited.append((ok, time.monotonic() - started))
+
+    def wait_each(keys):
+        started, pending = time.monotonic(), list(keys)
+        while pending:
+            settled = service.wait_any(pending, timeout=scaled(20.0))
+            if not settled:
+                break
+            pending = [key for key in pending if key not in settled]
+        waited.append((not pending, time.monotonic() - started))
+
+    def client(index, chunk):
+        _, keys = service.submit(chunk)
+        (wait_all if index % 2 else wait_each)(keys)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(index, chunk))
+                   for index, chunk in enumerate(slices)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=scaled(30.0))
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        service.close()
+    assert len(waited) == len(slices)
+    assert all(ok and elapsed < scaled(5.0) for ok, elapsed in waited)
+    assert service.stats()["states"] == {"done": len(jobs)}
+    assert set(service.executed_per_key.values()) == {1}
 
 
 # --------------------------------------------------------------------- #
@@ -592,6 +685,66 @@ def test_open_loop_driver_respects_its_schedule(live_daemon):
                        request_timeout=scaled(120.0)).run()
     assert stats.ok == 4
     assert stats.elapsed_s >= 3 / 50.0      # last arrival offset waited
+
+
+class _FixedReqs(ReqGenEngine):
+    """Yields the same :class:`Req` objects every time, so a test can
+    read each request's measured fate after the driver ran them."""
+
+    def __init__(self, reqs):
+        self.items = reqs
+
+    def reqs(self):
+        return iter(self.items)
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+def test_driver_latency_origin_under_a_stalled_server(tiny_result, mode):
+    """Open-loop latency counts from the due time; closed from the send.
+
+    The first job to run stalls the one-worker server, so both clients
+    sit on requests 0 and 1 while requests 2 and 3 fall due.  In open loop
+    their latency must include that backlog; in closed loop they are
+    sent only after it clears and are timed from the send.
+    """
+    stall = scaled(0.6)
+    rate = 20.0
+
+    first = threading.Lock()
+
+    def stalled(job, attempt):
+        if first.acquire(blocking=False):  # only the first job stalls
+            time.sleep(stall)
+        return tiny_result
+
+    service = SimService(execute=stalled, max_workers=1)
+    daemon = ServiceDaemon(service)
+    thread = daemon.start()
+    try:
+        reqs = [Req(index=i, jobs=[_job(f"stall{i}").to_dict()])
+                for i in range(4)]
+        workload = DriverWorkload(engine=_FixedReqs(reqs), clients=2,
+                                  mode=mode, rate=rate)
+        stats = LoadDriver(daemon.url, workload,
+                           request_timeout=scaled(60.0)).run()
+    finally:
+        daemon.shutdown()
+        thread.join(timeout=scaled(10.0))
+        daemon.close()
+    assert stats.ok == 4
+    doc = stats.to_dict()
+    if mode == "open":
+        # The stall began after the driver's clock started, and requests
+        # 2 and 3 were sent only once it ended.
+        for req in reqs[2:]:
+            assert req.latency_s >= stall - req.index / rate
+            assert req.late_s >= stall - req.index / rate
+        assert doc["generator_late_p90_s"] >= stall - 3 / rate
+    else:
+        for req in reqs[2:]:
+            assert req.latency_s < stall / 2
+            assert req.late_s is None
+        assert doc["generator_late_p90_s"] is None
 
 
 def test_driver_cli_reports_stats_json(live_daemon, tmp_path, capsys):
