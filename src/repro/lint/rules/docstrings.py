@@ -1,8 +1,8 @@
-"""RL007 — the docstring rule (``tools/check_docstrings.py``, absorbed).
+"""RL007 — the docstring rule.
 
-The standalone docs gate predates the lint framework; its policy moves
-here unchanged so ``repro lint`` is the single static gate (the old
-script remains as a thin shim over this rule):
+The standalone docs gate predates the lint framework; its policy lives
+here so ``repro lint`` is the single static gate (``python -m
+repro.lint --rules RL007`` runs just this rule):
 
 * every module needs a module docstring,
 * every public class (not ``_``-prefixed) needs a class docstring,

@@ -12,15 +12,15 @@ lists executed through pluggable backends with two cache layers:
   :class:`~repro.runner.backends.ProcessPoolBackend` — bit-identical
   results, the latter fanning jobs out over worker processes.
 * :class:`~repro.runner.cache.ResultCache` — optional on-disk result
-  memoisation keyed by a stable hash of the job spec (the in-process
-  trace cache lives with the workload catalogue in
-  :mod:`repro.workloads.suite`).
+  memoisation keyed by a stable hash of the job spec, in one sharded
+  layout shared by every entry point (the in-process trace cache lives
+  with the workload catalogue in :mod:`repro.workloads.suite`).
 * :class:`~repro.runner.runner.JobRunner` — ties the above together.
 * :class:`~repro.runner.spec.ExperimentSpec` — sweeps declared as
   TOML/JSON documents (base config + override axes + workloads),
   expanded into the same job matrices.
 * :mod:`repro.runner.distributed` — multi-process cooperative sweeps
-  over a shared directory (sharded cache + file-based work queue);
+  over a shared directory (result cache + file-based work queue);
   resolved lazily through :func:`~repro.runner.backends.make_backend`
   so local runs never import it.
 * :mod:`repro.runner.delta` — spec-matrix diffs by content hash, the

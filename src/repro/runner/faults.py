@@ -221,6 +221,8 @@ def apply_faults(job: SimJob, attempt: int) -> None:
     # or the OOM killer, it leaves whatever partial state exists).
     if spec.corrupt_path is not None:
         try:
+            os.makedirs(os.path.dirname(spec.corrupt_path) or ".",
+                        exist_ok=True)
             with open(spec.corrupt_path, "wb") as handle:
                 handle.write(b"partial write interrupted by worker death")
                 handle.flush()

@@ -21,7 +21,11 @@ result cache *before* the entry is published as done, so a daemon that
 is kill -9'd mid-sweep loses at most the in-flight jobs: a restarted
 daemon pointed at the same cache directory serves every completed job
 without re-simulating (the service-path extension of the sweep
-``--resume`` contract).
+``--resume`` contract).  The directory may also be one that ``repro
+sweep``, ``repro report`` or a distributed sweep's workers fill: every
+entry point opens the same sharded ``ResultCache``, so the daemon
+serves what they checkpointed, and a legacy flat directory is migrated
+on open.
 
 Failure model per entry: the configured
 :class:`~repro.runner.status.RetryPolicy` gives each job
@@ -62,6 +66,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.runner.cache import ResultCache
 from repro.runner.execute import run_job_attempt
 from repro.runner.job import SimJob
 from repro.runner.status import RetryPolicy
@@ -149,12 +154,8 @@ class SimService:
                  max_workers: Optional[int] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  execute: Optional[Callable[[SimJob, int], Any]] = None) -> None:
-        from repro.runner.distributed import open_result_cache
         self.retry_policy = retry_policy or RetryPolicy()
-        # Layout deference: a daemon pointed at a distributed sweep's
-        # shared directory serves its sharded entries; a flat cache dir
-        # stays flat (the daemon never upgrades a layout).
-        self.result_cache = (open_result_cache(cache_dir)
+        self.result_cache = (ResultCache(cache_dir)
                              if cache_dir is not None else None)
         self._execute = execute or (
             lambda job, attempt: run_job_attempt(job, attempt))
@@ -412,11 +413,9 @@ class SimService:
                     "hits": self.result_cache.hits,
                     "misses": self.result_cache.misses,
                     "entries": len(self.result_cache),
+                    **self.result_cache.layout_info(),
                 }
-                from repro.runner.distributed import ShardedResultCache
                 from repro.runner.distributed.queue import WorkQueue
-                if isinstance(self.result_cache, ShardedResultCache):
-                    doc["cache"].update(self.result_cache.layout_info())
                 queue_stats = WorkQueue.stats_for(
                     self.result_cache.directory / "queue")
                 if queue_stats is not None:

@@ -139,15 +139,6 @@ class SystemConfig(SerializableConfig):
     def with_label(self, label: str) -> "SystemConfig":
         return replace(self, label=label)
 
-    def with_rob_size(self, rob_size: int) -> "SystemConfig":
-        return self.override({"core.rob_size": rob_size},
-                             label=f"{self.label}-rob{rob_size}")
-
-    def with_llc_size_mb(self, size_mb: float) -> "SystemConfig":
-        return self.override(
-            {"hierarchy.llc.size_bytes": int(size_mb * 1024 * 1024)},
-            label=f"{self.label}-llc{size_mb}MB")
-
     def with_llc_latency(self, latency: int) -> "SystemConfig":
         return self.override({"hierarchy.llc.latency": latency},
                              label=f"{self.label}-llclat{latency}")

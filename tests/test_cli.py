@@ -94,7 +94,7 @@ def test_sweep_matrix_with_cache(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["jobs"] == 4
     assert {row["config"] for row in payload["rows"]} == {"none", "pythia"}
-    cached = len(list(cache.glob("*.pkl")))
+    cached = len(list(cache.rglob("*.pkl")))
     assert cached == 4
     # Re-run is served from the cache and produces the same rows.
     run_cli(*args)
@@ -223,7 +223,7 @@ offchip_predictor = "popet"
     assert payload["jobs"] == 2
     assert {row["config"] for row in payload["rows"]} == {
         "pythia", "pythia+hermes"}
-    assert len(list(cache.glob("*.pkl"))) == 2
+    assert len(list(cache.rglob("*.pkl"))) == 2
     run_cli(*args)
     assert json.loads(out.read_text()) == payload
 

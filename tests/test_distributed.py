@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -40,20 +41,21 @@ from repro.runner import (
     diff_specs,
     make_backend,
 )
-from repro.runner.distributed import (
+from repro.runner.cache import (
     CACHE_LAYOUT_VERSION,
-    DEFAULT_LEASE_TTL,
     LAYOUT_MARKER,
+    shard_of,
+    write_entry,
+)
+from repro.runner.distributed import (
+    DEFAULT_LEASE_TTL,
     DistributedBackend,
     DoneRecord,
     LeaseRecord,
     QueueJobRecord,
-    ShardedResultCache,
     WorkQueue,
     WorkerSummary,
     make_owner_id,
-    open_result_cache,
-    shard_of,
 )
 from repro.runner.execute import run_job_attempt
 from repro.runner.faults import FAULT_KINDS, FAULTS_ENV, apply_faults
@@ -71,6 +73,12 @@ def _jobs(n=4, accesses=400):
     return [SimJob(config=SystemConfig(label=f"job{i}"),
                    workload="ligra.pagerank", num_accesses=accesses + i)
             for i in range(n)]
+
+
+def _write_flat(directory, job, result):
+    """Publish ``result`` where the pre-sharding flat layout kept it."""
+    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    write_entry(Path(directory) / f"{job.key()}.pkl", payload)
 
 
 def _results_blob(results):
@@ -133,7 +141,7 @@ def test_job_keys_are_pinned_across_the_layout_change():
 
 def test_sharded_cache_round_trips_and_fans_out(tmp_path):
     jobs = _jobs(16)
-    cache = ShardedResultCache(tmp_path)
+    cache = ResultCache(tmp_path)
     assert (tmp_path / LAYOUT_MARKER).exists()
     results = [run_job_attempt(job) for job in jobs]
     for job, result in zip(jobs, results):
@@ -152,33 +160,60 @@ def test_flat_cache_migrates_in_place_and_keeps_hitting(tmp_path):
     """The compat round-trip: entries written by the flat layout are
     moved — bytes untouched — and keep serving reads afterwards."""
     jobs = _jobs(3)
-    flat = ResultCache(tmp_path)
     results = [run_job_attempt(job) for job in jobs]
     for job, result in zip(jobs, results):
-        flat.put(job, result)
-    flat_bytes = {job.key(): flat.path_for(job).read_bytes() for job in jobs}
+        _write_flat(tmp_path, job, result)
+    flat_bytes = {job.key(): (tmp_path / f"{job.key()}.pkl").read_bytes()
+                  for job in jobs}
+    assert not (tmp_path / LAYOUT_MARKER).exists()
 
-    sharded = ShardedResultCache(tmp_path)
+    cache = ResultCache(tmp_path)
     assert (tmp_path / LAYOUT_MARKER).exists()
     assert not list(tmp_path.glob("*.pkl"))  # root fully evacuated
     for job, result in zip(jobs, results):
-        assert sharded.path_for(job).read_bytes() == flat_bytes[job.key()]
-        assert sharded.get(job) == result
-    assert sharded.hits == 3 and sharded.quarantined == 0
-    assert len(sharded) == 3
+        assert cache.path_for(job).read_bytes() == flat_bytes[job.key()]
+        assert cache.get(job) == result
+    assert cache.hits == 3 and cache.quarantined == 0
+    assert len(cache) == 3
     # Re-opening an already-migrated directory is a no-op.
-    assert ShardedResultCache(tmp_path).get(jobs[0]) == results[0]
+    assert ResultCache(tmp_path).get(jobs[0]) == results[0]
 
 
-def test_open_result_cache_defers_to_the_directory_layout(tmp_path):
-    flat_dir = tmp_path / "flat"
-    flat_dir.mkdir()
-    opened = open_result_cache(flat_dir)
-    assert type(opened) is ResultCache          # never upgrades
-    assert not (flat_dir / LAYOUT_MARKER).exists()
-    ShardedResultCache(tmp_path / "sharded")    # upgrade is explicit
-    assert isinstance(open_result_cache(tmp_path / "sharded"),
-                      ShardedResultCache)
+def test_distributed_cache_serves_local_sweeps_and_reports(tmp_path,
+                                                           monkeypatch):
+    """A directory filled through the distributed backend is the cache
+    every local entry point reads: ``api.sweep`` and ``api.report`` over
+    it execute nothing and leave no flat entry in its root."""
+    from repro import api
+    from repro.experiments.common import ExperimentSetup
+    import repro.runner.backends as backends
+
+    shared = tmp_path / "shared"
+    report_kwargs = dict(accesses=600, per_category=1, categories=["Ligra"])
+    jobs = _jobs(2)
+    outcomes = DistributedBackend(shared).run_outcomes(jobs)
+    assert all(o.ok for o in outcomes)
+    # The report's own matrix, executed by distributed workers too.
+    with monkeypatch.context() as patch:
+        patch.setattr(ExperimentSetup, "make_backend",
+                      lambda self: DistributedBackend(shared))
+        cold = api.report(["fig05"], out_dir=tmp_path / "cold",
+                          **report_kwargs)
+    assert cold.cache_hits == 0 and not list(shared.glob("*.pkl"))
+
+    def executed(*args, **kwargs):
+        raise AssertionError("a job cached by the distributed sweep ran")
+
+    monkeypatch.setattr(backends, "run_job_attempt", executed)
+    results = api.sweep(jobs, cache_dir=shared)
+    assert _results_blob(results) == _results_blob(
+        [o.result for o in outcomes])
+    warm = api.report(["fig05"], out_dir=tmp_path / "warm",
+                      cache_dir=shared, **report_kwargs)
+    assert warm.cache_misses == 0 and warm.cache_hits > 0
+    assert not list(shared.glob("*.pkl"))
+    assert ((tmp_path / "warm" / "fig05.json").read_bytes()
+            == (tmp_path / "cold" / "fig05.json").read_bytes())
 
 
 def test_sharded_cache_rejects_a_future_layout(tmp_path):
@@ -186,27 +221,27 @@ def test_sharded_cache_rejects_a_future_layout(tmp_path):
         json.dumps({"cache_layout": CACHE_LAYOUT_VERSION + 1}),
         encoding="utf-8")
     with pytest.raises(ValueError, match="layout"):
-        ShardedResultCache(tmp_path)
+        ResultCache(tmp_path)
 
 
 def test_sharded_cache_adopts_straggler_flat_writes(tmp_path):
     """An old-layout writer publishing into the root *after* migration
     is found by the read-side fallback and re-homed on first touch."""
     job = _jobs(1)[0]
-    sharded = ShardedResultCache(tmp_path)
+    cache = ResultCache(tmp_path)
     result = run_job_attempt(job)
-    ResultCache(tmp_path).put(job, result)      # straggler's flat write
+    _write_flat(tmp_path, job, result)          # straggler's flat write
     flat_path = tmp_path / f"{job.key()}.pkl"
     assert flat_path.exists()
-    assert sharded.has(job)
-    assert sharded.get(job) == result
+    assert cache.has(job)
+    assert cache.get(job) == result
     assert not flat_path.exists()
-    assert sharded.path_for(job).exists()
+    assert cache.path_for(job).exists()
 
 
 def test_sharded_cache_quarantines_torn_entry_in_its_shard(tmp_path):
     job = _jobs(1)[0]
-    cache = ShardedResultCache(tmp_path)
+    cache = ResultCache(tmp_path)
     cache.put(job, run_job_attempt(job))
     path = cache.path_for(job)
     whole = path.read_bytes()
@@ -433,7 +468,7 @@ def test_solo_distributed_backend_matches_serial_byte_identical(tmp_path):
     jobs = _jobs(4)
     baseline = JobRunner(SerialBackend()).run(jobs)
     runner = JobRunner(backend=DistributedBackend(tmp_path),
-                       result_cache=ShardedResultCache(tmp_path))
+                       result_cache=ResultCache(tmp_path))
     results, report = runner.run_report(jobs)
     assert _results_blob(results) == _results_blob(baseline)
     assert all(o.ok for o in report.outcomes)
@@ -445,7 +480,7 @@ def test_solo_distributed_backend_matches_serial_byte_identical(tmp_path):
     # A fresh runner against the same shared dir is served from cache.
     rerun, rereport = JobRunner(
         backend=DistributedBackend(tmp_path),
-        result_cache=ShardedResultCache(tmp_path)).run_report(jobs)
+        result_cache=ResultCache(tmp_path)).run_report(jobs)
     assert _results_blob(rerun) == _results_blob(baseline)
     assert rereport.cached_count == 4
 
@@ -675,7 +710,7 @@ def test_kill9_worker_is_stolen_and_only_its_job_reruns(tmp_path):
     # Pre-publish the matrix so the victim can start before any
     # coordinator exists; its TTL is fixed here, in the queue META.
     shared = tmp_path / "shared"
-    ShardedResultCache(shared)
+    ResultCache(shared)
     queue = WorkQueue(shared / "queue", lease_ttl=scaled(2.0))
     for job in jobs:
         queue.publish(QueueJobRecord(key=job.key(), attempt=1,

@@ -413,7 +413,7 @@ def test_rl006_clean_when_mirrored_or_out_of_scope(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# RL007 — docstrings (the absorbed tools/check_docstrings.py policy)
+# RL007 — docstrings
 # --------------------------------------------------------------------- #
 
 def test_rl007_flags_missing_docstrings(tmp_path):
@@ -454,14 +454,6 @@ def test_rl007_report_methods_policy_and_file_suppression(tmp_path):
     write_tree(tmp_path / "waived", {"src/repro/report/widget.py":
                "# repro-lint: disable-file=RL007\n" + textwrap.dedent(renderer)})
     assert run_rules(tmp_path / "waived", ["RL007"]).exit_code == 0
-
-
-def test_check_docstrings_shim_still_works():
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "check_docstrings.py")],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "clean" in proc.stdout
 
 
 # --------------------------------------------------------------------- #

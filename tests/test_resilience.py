@@ -38,7 +38,12 @@ from repro.runner import (
     SimJob,
     SweepError,
 )
-from repro.runner.cache import MAGIC, STALE_TMP_SECONDS
+from repro.runner.cache import (
+    CACHE_LAYOUT_VERSION,
+    LAYOUT_MARKER,
+    MAGIC,
+    STALE_TMP_SECONDS,
+)
 from repro.runner.execute import run_job_attempt
 from repro.runner.faults import FAULTS_ENV, active_plan, apply_faults
 from repro.runner.status import SweepReport
@@ -320,7 +325,9 @@ def test_cache_reads_legacy_bare_pickle_entries(tmp_path):
     job = _jobs(1)[0]
     cache = ResultCache(tmp_path)
     result = run_job_attempt(job)
-    cache.path_for(job).write_bytes(pickle.dumps(result))  # pre-checksum
+    path = cache.path_for(job)
+    path.parent.mkdir()
+    path.write_bytes(pickle.dumps(result))  # pre-checksum
     assert cache.get(job) == result
     assert cache.hits == 1 and cache.quarantined == 0
 
@@ -328,7 +335,9 @@ def test_cache_reads_legacy_bare_pickle_entries(tmp_path):
 def test_cache_quarantines_unpicklable_garbage(tmp_path):
     job = _jobs(1)[0]
     cache = ResultCache(tmp_path)
-    cache.path_for(job).write_bytes(b"partial write interrupted")
+    path = cache.path_for(job)
+    path.parent.mkdir()
+    path.write_bytes(b"partial write interrupted")
     assert cache.get(job) is None
     assert cache.quarantined == 1
 
@@ -352,7 +361,30 @@ def test_cache_concurrent_put_of_same_key_is_safe(tmp_path):
     cache = ResultCache(tmp_path)
     assert cache.get(job) == result      # whole, checksum-valid entry
     assert len(cache) == 1
-    assert not list(Path(tmp_path).glob("*.tmp"))  # no staging leftovers
+    assert not list(Path(tmp_path).rglob("*.tmp"))  # no staging leftovers
+
+
+def _open_fresh_caches(root, count):
+    for index in range(count):
+        ResultCache(Path(root) / f"fresh{index}")
+
+
+def test_cache_concurrent_open_of_a_fresh_dir_is_safe(tmp_path):
+    """Openers racing to publish a fresh directory's layout marker all
+    succeed and leave one whole marker behind."""
+    workers = [multiprocessing.Process(target=_open_fresh_caches,
+                                       args=(str(tmp_path), 200))
+               for _ in range(4)]
+    for proc in workers:
+        proc.start()
+    for proc in workers:
+        proc.join(timeout=scaled(60.0))
+        assert proc.exitcode == 0
+    for index in range(200):
+        directory = tmp_path / f"fresh{index}"
+        marker = json.loads((directory / LAYOUT_MARKER).read_text())
+        assert marker["cache_layout"] == CACHE_LAYOUT_VERSION
+        assert not list(directory.glob("*.tmp"))
 
 
 def test_cache_clear_removes_tmp_and_corrupt_files(tmp_path):
@@ -361,21 +393,31 @@ def test_cache_clear_removes_tmp_and_corrupt_files(tmp_path):
     cache.put(job, run_job_attempt(job))
     (tmp_path / "orphan.tmp").write_bytes(b"x")
     (tmp_path / "dead.pkl.corrupt").write_bytes(b"y")
+    shard = cache.path_for(job).parent
+    (shard / "orphan.tmp").write_bytes(b"x")
+    (shard / "dead.pkl.corrupt").write_bytes(b"y")
     cache.clear()
-    assert list(tmp_path.iterdir()) == []
+    assert [path for path in tmp_path.rglob("*")
+            if path.suffix in (".pkl", ".tmp", ".corrupt")] == []
+    assert len(cache) == 0
     assert (cache.hits, cache.misses, cache.quarantined) == (0, 0, 0)
 
 
 def test_cache_init_sweeps_only_stale_tmp_files(tmp_path):
-    stale = tmp_path / "stale.tmp"
-    fresh = tmp_path / "fresh.tmp"
-    stale.write_bytes(b"x")
-    fresh.write_bytes(b"y")
+    (tmp_path / "ab").mkdir()
+    stale = [tmp_path / "stale.tmp", tmp_path / "ab" / "stale.tmp"]
+    fresh = [tmp_path / "fresh.tmp", tmp_path / "ab" / "fresh.tmp"]
     old = time.time() - STALE_TMP_SECONDS - 60
-    os.utime(stale, (old, old))
+    for path in stale:
+        path.write_bytes(b"x")
+        os.utime(path, (old, old))
+    for path in fresh:
+        path.write_bytes(b"y")
     ResultCache(tmp_path)
-    assert not stale.exists()   # orphan of a dead writer: swept
-    assert fresh.exists()       # live writer's staging file: kept
+    for path in stale:
+        assert not path.exists()    # orphan of a dead writer: swept
+    for path in fresh:
+        assert path.exists()        # live writer's staging file: kept
 
 
 def test_cache_entry_format_is_checksummed(tmp_path):
@@ -444,7 +486,7 @@ def test_cli_sweep_survives_sigkill_and_resumes_byte_identical(tmp_path):
     try:
         deadline = time.monotonic() + scaled(240.0)
         while time.monotonic() < deadline:
-            if len(list(crash_cache.glob("*.pkl"))) >= 2:
+            if len(list(crash_cache.rglob("*.pkl"))) >= 2:
                 break
             if proc.poll() is not None:
                 pytest.fail("sweep exited before it could be killed")

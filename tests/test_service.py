@@ -570,7 +570,7 @@ def test_daemon_kill9_restart_serves_checkpoints_and_reruns_rest(tmp_path):
         # FIFO single worker: wait until the two pre-hang jobs are
         # checkpointed, then kill -9 while the third hangs.
         deadline = time.monotonic() + scaled(240.0)
-        while len(list(cache_dir.glob("*.pkl"))) < 2:
+        while len(list(cache_dir.rglob("*.pkl"))) < 2:
             if proc.poll() is not None:
                 pytest.fail("daemon exited before it could be killed")
             if time.monotonic() > deadline:
@@ -579,7 +579,7 @@ def test_daemon_kill9_restart_serves_checkpoints_and_reruns_rest(tmp_path):
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=scaled(60.0))
-    assert len(list(cache_dir.glob("*.pkl"))) == 2
+    assert len(list(cache_dir.rglob("*.pkl"))) == 2
 
     # Fault-free restart over the same cache: resubmission completes,
     # serving the survivors from the cache and executing only the rest.
@@ -599,7 +599,7 @@ def test_daemon_kill9_restart_serves_checkpoints_and_reruns_rest(tmp_path):
         stats = ServiceClient(url, timeout=scaled(30.0)).stats()
         assert stats["cache_hits"] == 2
         assert stats["executed"] == 1       # only the killed job re-ran
-        assert len(list(cache_dir.glob("*.pkl"))) == 3
+        assert len(list(cache_dir.rglob("*.pkl"))) == 3
         ServiceClient(url, timeout=scaled(30.0)).shutdown()
         proc.wait(timeout=scaled(60.0))
         assert proc.returncode == 0         # clean shutdown

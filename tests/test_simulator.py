@@ -29,8 +29,9 @@ def test_warmup_fraction_bounds():
 
 def test_sweep_helpers_produce_new_labels():
     base = SystemConfig.baseline("pythia")
-    assert base.with_rob_size(256).core.rob_size == 256
-    assert base.with_llc_size_mb(6).hierarchy.llc.size_bytes == 6 * 1024 * 1024
+    assert base.override({"core.rob_size": 256}).core.rob_size == 256
+    llc_6mb = base.override({"hierarchy.llc.size_bytes": 6 * 1024 * 1024})
+    assert llc_6mb.hierarchy.llc.size_bytes == 6 * 1024 * 1024
     assert base.with_llc_latency(65).hierarchy.llc.latency == 65
     assert base.with_memory_bandwidth(800).dram.transfer_rate_mtps == 800
     hermes = SystemConfig.with_hermes("popet").with_hermes_issue_latency(24)
